@@ -4,25 +4,25 @@
 //! read back, journey by journey).
 
 use crate::span::{self, Recorder};
-use crate::stats::{median, mix, repeat_for, setup_median, trimmed_mean, windowed, LATENCY_WINDOW};
+use crate::stats::{fast_cost, fast_rate, median, mix, percentile, repeat_for, timed_setup};
 use crate::{Check, Outcome, RunConfig};
-use bench_suite::fleetsim::{make_source, make_tenant_source, WARMUP_TICKS};
-use perf_sim::events::{Event, PAPER_EVENTS};
+use bench_suite::fleetsim::{fleet_faults, make_source, make_tenant_source, WARMUP_TICKS};
+use os_sim::process::Pid;
+use perf_sim::events::PAPER_EVENTS;
 use powerapi::fleet::{
     decode_frame, encode_frame, Fleet, FleetConfig, FleetStats, FleetTickReport, FrameSource,
-    LinkFaultConfig, LinkFaultKind, LinkFaultPlan, LinkWindow, ShardConfig, SloConfig,
+    LinkFaultConfig, LinkFaultPlan, ShardConfig, SloConfig,
 };
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::frame::{FrameBuilder, FramePool, TickFrame};
 use powerapi::model::learn::{learn_model, LearnConfig};
-use powerapi::msg::HostSnapshot;
+use powerapi::msg::CorunSplit;
 use powerapi::telemetry::export::{parse_json, parse_jsonl, Json};
 use powerapi::telemetry::{write_post_mortem_with_fleet, Telemetry};
 use simcpu::presets;
 use simcpu::units::Nanos;
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -42,19 +42,11 @@ const PM_TRACED_CYCLES: usize = 5;
 const TRACK_MAIN: u32 = 0;
 const TRACK_CODEC: u32 = 3;
 
-/// The E12 faulty network — 5 % loss, light duplicate/corrupt/reorder
-/// rates, two 10-tick partitions and two single-host dark spells at
-/// pinned ticks — with per-frame fault decisions hashed from `seed`.
+/// The E12 faulty network — `fleetsim::fleet_faults`' partition and
+/// dark-host windows with its loss, duplicate, corrupt and reorder rates
+/// — with per-frame fault decisions hashed from `seed` instead of the
+/// experiment's fixed seed.
 fn fault_plan(seed: u64, hosts: usize, ticks: u64) -> LinkFaultPlan {
-    let span = (hosts / 8).max(2) as u32;
-    let h = hosts as u32;
-    let window = |kind, start: u64, len: u64, lo: u32, hi: u32| LinkWindow {
-        kind,
-        start,
-        end: start + len,
-        host_lo: lo,
-        host_hi: hi.min(h),
-    };
     LinkFaultPlan::from_parts(
         seed,
         &LinkFaultConfig {
@@ -64,18 +56,7 @@ fn fault_plan(seed: u64, hosts: usize, ticks: u64) -> LinkFaultPlan {
             reorder_rate: 0.02,
             ..LinkFaultConfig::default()
         },
-        vec![
-            window(LinkFaultKind::Partition, ticks / 4, 10, 0, span),
-            window(LinkFaultKind::Partition, ticks / 2, 10, span, 2 * span),
-            window(
-                LinkFaultKind::HostDark,
-                ticks / 3,
-                3,
-                2 * span,
-                2 * span + 1,
-            ),
-            window(LinkFaultKind::HostDark, 2 * ticks / 3, 3, h - 1, h),
-        ],
+        fleet_faults(hosts, ticks).windows().to_vec(),
     )
 }
 
@@ -90,61 +71,59 @@ fn fleet_config(shards: usize, fault: LinkFaultPlan) -> FleetConfig {
     }
 }
 
-/// One host's pre-recorded frames with the true machine power after each.
+/// One host's pre-recorded frames with the true machine power after
+/// each. The co-run rows are kept beside the frames because `TickFrame`
+/// exposes no pid for them.
 struct Recording {
-    frames: Vec<HostSnapshot>,
+    frames: Vec<TickFrame>,
+    corun: Vec<Vec<(Pid, CorunSplit)>>,
     truth_w: Vec<f64>,
-    events: Arc<[Event]>,
 }
 
 fn record(index: usize, ticks: u64) -> Recording {
     let mut source = make_source(index);
     let pool = FramePool::new();
     let mut frames = Vec::with_capacity(ticks as usize);
+    let mut corun = Vec::with_capacity(ticks as usize);
     let mut truth_w = Vec::with_capacity(ticks as usize);
-    let mut events: Arc<[Event]> = Arc::from([] as [Event; 0]);
     for _ in 0..ticks {
         let frame = source.produce(&pool);
-        events = frame.events.clone();
-        frames.push(frame.to_snapshot());
+        corun.push(frame.to_snapshot().corun);
+        frames.push(frame);
         truth_w.push(source.truth_w());
     }
     Recording {
         frames,
+        corun,
         truth_w,
-        events,
     }
 }
 
-/// Rebuilds a recorded frame in `pool`'s recycled storage.
-fn rebuild(snap: &HostSnapshot, events: &Arc<[Event]>, pool: &FramePool) -> TickFrame {
+/// Copies recorded frame `i` column by column into `pool`'s recycled
+/// storage, so a replayed frame costs no allocation once the pool is warm.
+fn copy(r: &Recording, i: usize, pool: &FramePool) -> TickFrame {
+    let frame = &r.frames[i];
     let mut b = FrameBuilder::pooled(pool);
     let (pids, counters) = b.hpc_columns();
-    for (pid, row) in &snap.hpc {
-        pids.push(*pid);
-        counters.extend(row.iter().map(|(_, v)| *v));
+    for row in 0..frame.hpc_len() {
+        pids.push(frame.hpc_pid(row));
+        counters.extend_from_slice(frame.hpc_row(row));
     }
-    for (pid, t) in &snap.proc_times {
-        b.push_time_row(*pid, t.busy, |f| f.extend_from_slice(&t.by_freq));
+    for row in 0..frame.time_len() {
+        b.push_time_row(frame.time_pid(row), frame.busy(row), |f| {
+            f.extend_from_slice(frame.freq_slice(row))
+        });
     }
-    for (pid, c) in &snap.corun {
-        b.push_corun_row(*pid, *c);
+    for &(pid, split) in &r.corun[i] {
+        b.push_corun_row(pid, split);
     }
-    b.meter_column().extend_from_slice(&snap.meter);
+    b.meter_column().extend_from_slice(frame.meter());
     b.finish(
-        snap.timestamp,
-        snap.interval,
-        events.clone(),
-        snap.rapl_joules,
+        frame.timestamp,
+        frame.interval,
+        frame.events.clone(),
+        frame.rapl_joules,
     )
-}
-
-/// Where a traced replay charges its `produce` spans.
-#[derive(Clone)]
-struct ReplayProbe {
-    rec: Recorder,
-    parent: Arc<AtomicUsize>,
-    tick: Arc<AtomicU64>,
 }
 
 /// A benchmark-owned frame source replaying a recording, cycling when
@@ -153,29 +132,15 @@ struct Replay {
     recording: Arc<Recording>,
     next: usize,
     truth_w: f64,
-    probe: Option<ReplayProbe>,
 }
 
 impl FrameSource for Replay {
     fn produce(&mut self, pool: &FramePool) -> TickFrame {
-        let start = Instant::now();
         let r = &self.recording;
         let i = self.next % r.frames.len();
         self.next += 1;
         self.truth_w = r.truth_w[i];
-        let frame = rebuild(&r.frames[i], &r.events, pool);
-        if let Some(p) = &self.probe {
-            p.rec.record(
-                "FrameSource::produce",
-                "replay",
-                TRACK_MAIN,
-                start,
-                Instant::now(),
-                Some(p.parent.load(Ordering::Relaxed)),
-                p.tick.load(Ordering::Relaxed),
-            );
-        }
-        frame
+        copy(r, i, pool)
     }
 
     fn truth_w(&self) -> f64 {
@@ -205,8 +170,6 @@ struct FleetReplica {
     wall_s: f64,
     /// Whether the replica recorded spans.
     traced: bool,
-    /// Σ `FrameSource::produce` wall (traced only), nanoseconds.
-    produce_ns: u64,
     stats: FleetStats,
     conserved: Result<(), String>,
     mae_w: f64,
@@ -223,12 +186,6 @@ fn fleet_replica(
     rec: Option<&Recorder>,
 ) -> FleetReplica {
     let started = Instant::now();
-    let first_span = rec.map_or(0, Recorder::len);
-    let probe = rec.map(|r| ReplayProbe {
-        rec: r.clone(),
-        parent: Arc::new(AtomicUsize::new(0)),
-        tick: Arc::new(AtomicU64::new(0)),
-    });
     let sources: Vec<Box<dyn FrameSource>> = recordings
         .iter()
         .map(|r| {
@@ -236,7 +193,6 @@ fn fleet_replica(
                 recording: r.clone(),
                 next: 0,
                 truth_w: 0.0,
-                probe: probe.clone(),
             }) as Box<dyn FrameSource>
         })
         .collect();
@@ -250,36 +206,23 @@ fn fleet_replica(
     let mut reports = Vec::with_capacity(TICKS as usize);
     let mut tick_ns = 0u64;
     for t in 1..=TICKS {
-        let open = probe.as_ref().map(|p| {
-            let i = p.rec.open("Fleet::tick", "fleet", TRACK_MAIN, None, t);
-            p.parent.store(i, Ordering::Relaxed);
-            p.tick.store(t, Ordering::Relaxed);
-            i
-        });
         let at = Instant::now();
         reports.push(fleet.tick());
-        let ns = at.elapsed().as_nanos() as u64;
-        if let (Some(p), Some(i)) = (&probe, open) {
-            p.rec.close(i);
+        let end = Instant::now();
+        if let Some(r) = rec {
+            r.record("Fleet::tick", "fleet", TRACK_MAIN, at, end, None, t);
         }
+        let ns = (end - at).as_nanos() as u64;
         tick_ns += ns;
         tick_us.push(ns as f64 / 1e3);
     }
     let wall_s = started.elapsed().as_secs_f64();
-    let produce_ns = rec.map_or(0, |r| {
-        r.spans()[first_span..]
-            .iter()
-            .filter(|s| s.layer == "replay")
-            .map(span::Span::dur_ns)
-            .sum()
-    });
     let (mae_w, error_pct) = fleet_error(&reports);
     FleetReplica {
         tick_us,
         tick_s: tick_ns as f64 / 1e9,
         wall_s,
         traced: rec.is_some(),
-        produce_ns,
         stats: *fleet.stats(),
         conserved: fleet.conservation(),
         mae_w,
@@ -302,14 +245,8 @@ fn lag_percentiles(fleet: &Fleet) -> (f64, f64) {
 fn codec(recordings: &[Arc<Recording>], rec: &Recorder) -> (u64, u64, u64) {
     let (mut bytes, mut enc_ns, mut dec_ns) = (0u64, 0u64, 0u64);
     for (h, r) in recordings.iter().enumerate() {
-        let pool = FramePool::new();
-        let frames: Vec<TickFrame> = r
-            .frames
-            .iter()
-            .map(|f| rebuild(f, &r.events, &pool))
-            .collect();
         let t0 = Instant::now();
-        let payloads: Vec<Vec<u8>> = frames.iter().map(encode_frame).collect();
+        let payloads: Vec<Vec<u8>> = r.frames.iter().map(encode_frame).collect();
         let t1 = Instant::now();
         for p in &payloads {
             decode_frame(p).expect("recorded frame decodes");
@@ -324,6 +261,32 @@ fn codec(recordings: &[Arc<Recording>], rec: &Recorder) -> (u64, u64, u64) {
     (bytes, enc_ns, dec_ns)
 }
 
+/// Times [`copy`], the replay source's work inside `Fleet::tick`, over
+/// every recorded frame: (frames, ns). Timed beside the fleet so that the
+/// traced fleet runs carry no span per frame.
+fn replay_cost(recordings: &[Arc<Recording>], rec: &Recorder) -> (u64, u64) {
+    let pool = FramePool::new();
+    let start = Instant::now();
+    let mut frames = 0;
+    for r in recordings {
+        for i in 0..r.frames.len() {
+            drop(std::hint::black_box(copy(r, i, &pool)));
+            frames += 1;
+        }
+    }
+    let end = Instant::now();
+    rec.record(
+        "copy recorded frames",
+        "replay",
+        TRACK_CODEC,
+        start,
+        end,
+        None,
+        0,
+    );
+    (frames, (end - start).as_nanos() as u64)
+}
+
 fn fleet_counts(out: &mut Outcome, r: &FleetReplica) {
     out.layers.extend([
         ("fleet.frames", r.stats.produced as f64),
@@ -335,10 +298,10 @@ fn fleet_counts(out: &mut Outcome, r: &FleetReplica) {
     ]);
 }
 
-/// Fills the fleet layer metrics from the traced replicas (those whose
-/// replay spans were recorded into `rec`). Shares divide by the traced
-/// replicas' wall time; the codec, timed once over the recorded frames,
-/// is charged once per traced replica as part of `Fleet::tick`.
+/// Fills the fleet layer metrics from the traced replicas. Shares divide
+/// by the traced replicas' wall time. The codec and the replay source's
+/// frame copies, each timed once over the recorded frames, are charged
+/// per frame the traced replicas produced, as parts of `Fleet::tick`.
 fn fleet_layers(
     out: &mut Outcome,
     replicas: &[FleetReplica],
@@ -348,19 +311,18 @@ fn fleet_layers(
 ) {
     let traced: Vec<&FleetReplica> = replicas.iter().filter(|r| r.traced).collect();
     let (bytes, enc_ns, dec_ns) = codec(recordings, rec);
-    let codec_ns = (enc_ns + dec_ns) * traced.len() as u64;
+    let (recorded, copy_ns) = replay_cost(recordings, rec);
+    let frames: u64 = traced.iter().map(|r| r.stats.produced).sum();
+    let per_frame = |ns: u64| ns as f64 * frames as f64 / recorded.max(1) as f64;
+    let codec_ns = per_frame(enc_ns + dec_ns);
+    let replay_ns = per_frame(copy_ns);
     let wall_ns: f64 = traced.iter().map(|r| r.wall_s * 1e9).sum();
     let tick_ns: f64 = traced.iter().map(|r| r.tick_s * 1e9).sum();
-    let produce_ns: f64 = traced.iter().map(|r| r.produce_ns as f64).sum();
-    let frames: u64 = traced.iter().map(|r| r.stats.produced).sum();
-    let fleet_ns = tick_ns - produce_ns;
+    let fleet_ns = tick_ns - replay_ns;
     let shares = [
-        ("replay.share", produce_ns / wall_ns),
-        ("codec.share", codec_ns as f64 / wall_ns),
-        (
-            "fleet.share",
-            (fleet_ns - codec_ns as f64).max(0.0) / wall_ns,
-        ),
+        ("replay.share", replay_ns / wall_ns),
+        ("codec.share", codec_ns / wall_ns),
+        ("fleet.share", (fleet_ns - codec_ns).max(0.0) / wall_ns),
     ];
     let explained: f64 = shares.iter().map(|(_, v)| v).sum();
     let per_byte = |ns: u64| ns as f64 / bytes.max(1) as f64;
@@ -381,7 +343,7 @@ fn fleet_layers(
 pub fn fleet_faulty(cfg: &RunConfig) -> Outcome {
     let plan = fault_plan(mix(cfg.seed, 3), HOSTS, TICKS);
     // Set-up: learn the fleet's model and record every host's frames.
-    let (setup_s, (formula, recordings)) = setup_median(
+    let (setup_s, (formula, recordings)) = timed_setup(
         3,
         0.0,
         || {
@@ -435,8 +397,8 @@ pub fn fleet_faulty(cfg: &RunConfig) -> Outcome {
         0
     };
     out.complete_share = applied as f64 / produced.max(1) as f64;
-    out.units_per_s = trimmed_mean(&rates);
-    out.latency_us = trimmed_mean(&tick_us);
+    out.units_per_s = fast_rate(&rates);
+    out.latency_us = fast_cost(&tick_us);
     out.error_pct = first.error_pct;
     out.checks = vec![
         Check::new(
@@ -455,16 +417,8 @@ pub fn fleet_faulty(cfg: &RunConfig) -> Outcome {
         ("fleet_lag_p50_ticks", first.lag.0, "ticks"),
         ("fleet_lag_p99_ticks", first.lag.1, "ticks"),
         ("fleet_mae_w", first.mae_w, "W"),
-        (
-            "fleet_tick_p50_us",
-            windowed(&tick_us, LATENCY_WINDOW, 0.50),
-            "us",
-        ),
-        (
-            "fleet_tick_p99_us",
-            windowed(&tick_us, LATENCY_WINDOW, 0.99),
-            "us",
-        ),
+        ("fleet_tick_p50_us", percentile(&tick_us, 0.50), "us"),
+        ("fleet_tick_p99_us", percentile(&tick_us, 0.99), "us"),
         ("latency_samples", tick_us.len() as f64, "count"),
         ("failed_share", 1.0 - out.complete_share, "share"),
         ("replicas", replicas.len() as f64, "count"),
@@ -501,7 +455,6 @@ fn dump_source(seed: u64) -> DumpSource {
             tick_s: 0.0,
             wall_s: 0.0,
             traced: false,
-            produce_ns: 0,
             stats: *fleet.stats(),
             conserved: fleet.conservation(),
             mae_w,
@@ -713,7 +666,7 @@ fn dump_layers(out: &mut Outcome, traced: &[&Cycle], rec: &Recorder, overhead: f
 pub fn postmortem(cfg: &RunConfig) -> Outcome {
     let seed = mix(cfg.seed, 3);
     // Set-up: learn the model and run the telemetry-on faulty fleet.
-    let (setup_s, src) = setup_median(5, 1.0, || dump_source(seed), drop);
+    let (setup_s, src) = timed_setup(5, 1.0, || dump_source(seed), drop);
     let dir = cfg.out_dir.join(format!("postmortem-{}", cfg.seed));
     let mut out = Outcome {
         setup_s,
@@ -763,8 +716,8 @@ pub fn postmortem(cfg: &RunConfig) -> Outcome {
         .filter(|c| c.journeys.reconstructed != c.journeys.produced || !c.journal_round_trips)
         .count() as u64;
     out.complete_share = j.reconstructed as f64 / j.produced.max(1) as f64;
-    out.units_per_s = trimmed_mean(&journeys_per_s);
-    out.latency_us = trimmed_mean(&wall_us);
+    out.units_per_s = fast_rate(&journeys_per_s);
+    out.latency_us = fast_cost(&wall_us);
     out.error_pct = src.replica.error_pct;
     out.checks = vec![
         Check::new(
@@ -799,16 +752,8 @@ pub fn postmortem(cfg: &RunConfig) -> Outcome {
         ),
         ("journeys_per_s", out.units_per_s, "1/s"),
         ("dump_bytes", cycles[0].written as f64, "B"),
-        (
-            "cycle_p50_us",
-            windowed(&wall_us, LATENCY_WINDOW, 0.50),
-            "us",
-        ),
-        (
-            "cycle_p99_us",
-            windowed(&wall_us, LATENCY_WINDOW, 0.99),
-            "us",
-        ),
+        ("cycle_p50_us", percentile(&wall_us, 0.50), "us"),
+        ("cycle_p99_us", percentile(&wall_us, 0.99), "us"),
         ("latency_samples", wall_us.len() as f64, "count"),
         ("failed_share", 1.0 - out.complete_share, "share"),
         ("cycles", cycles.len() as f64, "count"),

@@ -15,9 +15,7 @@
 //! `PowerApi::finish`. Tick latency is measured to that arrival.
 
 use crate::span::{self, Recorder};
-use crate::stats::{
-    median, mix, percentile, repeat_for, setup_median, trimmed_mean, windowed, LATENCY_WINDOW,
-};
+use crate::stats::{fast_cost, fast_rate, median, mix, percentile, repeat_for, timed_setup};
 use crate::{Check, Outcome, RunConfig};
 use mathkit::metrics::ErrorReport;
 use os_sim::kernel::Kernel;
@@ -56,6 +54,9 @@ const TRACK_HOST_TWIN: u32 = 11;
 const JBB_TICKS: u64 = 300;
 /// `jbb-host` quantum: 1 ms (1 000 quanta per 1 s tick).
 const JBB_QUANTUM: Nanos = Nanos(1_000_000);
+/// Ticks per `jbb-host` throughput batch (about 50 ms of wall time, short
+/// enough to fall inside one of the host's speed states).
+const JBB_BATCH_TICKS: usize = 20;
 
 /// Monitored processes in `procs-1k`.
 const PROCS: usize = 1_000;
@@ -64,12 +65,13 @@ const WARMUP_TICKS: u64 = 3;
 /// Ticks per unpaced throughput batch.
 const BATCH_TICKS: u64 = 100;
 /// Open-loop release rate of the paced phase, ticks per wall second: a
-/// quarter of what the unpaced phase sustains, so the paced latency
+/// tenth of what the unpaced phase sustains, so the paced latency
 /// measures the pipeline rather than a backlog.
 const PACE_HZ: u64 = 500;
-/// Share of `--seconds` given to the throughput phase (the paced phase
-/// gets most of the rest).
-const THROUGHPUT_SHARE: f64 = 0.5;
+/// Seconds of each unpaced and each paced segment of an untraced
+/// `procs-1k` pass. The two alternate through the run, so that both
+/// sample all of the run's host states.
+const SEGMENT_S: f64 = 1.0;
 /// Ticks after warm-up whose machine estimate is scored against the meter.
 const SCORED_TICKS: u64 = 200;
 /// Fixed work of a traced `procs-1k` run.
@@ -423,11 +425,6 @@ impl Pipeline {
         self.progress.wait_for(self.published);
     }
 
-    /// Keeps machine-aggregate arrivals from the next published tick on.
-    fn keep_arrivals_from_next(&self) {
-        self.state.lock().expect("sink state").arrivals_from = self.published + 1;
-    }
-
     /// Stops the pipeline; returns the outcome, the sink's record, the
     /// formula rows handled and the verdict. Traced runs record
     /// `PowerApi::finish` as a span.
@@ -641,7 +638,13 @@ fn jbb_kernel(jbb: &SpecJbbConfig) -> (Kernel, Vec<Pid>) {
 struct JbbReplica {
     /// Wall time of the 300 `run_for` calls and `finish`, seconds.
     run_s: f64,
+    /// Wall time of each `run_for` call, seconds.
+    tick_s: Vec<f64>,
+    /// Machine aggregate arrival from the start of the closing tick's
+    /// `run_for`, µs.
     latency_us: Vec<f64>,
+    /// The same arrivals from the closing tick's publish, µs.
+    pipeline_us: Vec<f64>,
     ape: f64,
     verdict: Verdict,
     /// The sink's record, kept for traced replicas only.
@@ -663,34 +666,49 @@ fn jbb_replica(
     let formula = PerFrequencyFormula::new(model.clone());
     let mut p = build(kernel, &pids, formula, shape, rec);
     let mut run = Duration::ZERO;
-    let mut tick_start = Vec::with_capacity(JBB_TICKS as usize);
+    let mut tick_s = Vec::with_capacity(JBB_TICKS as usize);
+    let mut started = Vec::with_capacity(JBB_TICKS as usize);
+    let mut published = Vec::with_capacity(JBB_TICKS as usize);
     for _ in 0..JBB_TICKS {
         if let (Some(tw), Some(rec)) = (twins.as_deref_mut(), rec) {
             tw.tick(rec);
         }
         let at = Instant::now();
-        tick_start.push(at);
         p.tick(rec);
-        run += at.elapsed();
+        let done = Instant::now();
+        started.push(at);
+        published.push(done);
+        tick_s.push((done - at).as_secs_f64());
+        run += done - at;
     }
     let at = Instant::now();
     let (outcome, state, rows, verdict) = p.finish(rec);
     run += at.elapsed();
-    // The last tick's machine aggregate only leaves the aggregator at
-    // shutdown, so its latency would measure `finish`; it is left out.
-    let latency_us = state
-        .arrivals
-        .iter()
-        .filter(|(tick, _)| *tick >= 1 && *tick < JBB_TICKS)
-        .map(|(tick, at)| {
-            let start = tick_start[*tick as usize - 1];
-            at.saturating_duration_since(start).as_nanos() as f64 / 1e3
-        })
-        .collect();
+    // Tick t's machine aggregate leaves the aggregator when tick t + 1's
+    // estimates arrive, so its latency runs from the start of tick t + 1
+    // (`started[t]`): that tick's host simulation plus the pipeline's
+    // trip. The trip alone, from the instant `run_for` published tick
+    // t + 1's frame, is a chain of thread wake-ups too unsteady on a
+    // shared host to bound; it is printed. The last tick's aggregate only
+    // leaves at shutdown and is left out.
+    let since = |from: &dyn Fn(usize) -> Instant| -> Vec<f64> {
+        state
+            .arrivals
+            .iter()
+            .filter(|(tick, _)| *tick >= 1 && *tick < JBB_TICKS)
+            .map(|&(tick, at)| {
+                at.saturating_duration_since(from(tick as usize)).as_nanos() as f64 / 1e3
+            })
+            .collect()
+    };
+    let latency_us = since(&|t| started[t]);
+    let pipeline_us = since(&|t| published[t]);
     let ape = bench_suite::score_outcome(&outcome).map_or(f64::NAN, |r| r.median_ape);
     JbbReplica {
         run_s: run.as_secs_f64(),
+        tick_s,
         latency_us,
+        pipeline_us,
         ape,
         verdict,
         state: rec.map(|_| state),
@@ -715,8 +733,8 @@ pub fn jbb_host(cfg: &RunConfig) -> Outcome {
 
     // Set-up: learn the model (the Figure 1 pipeline) and build the
     // pipeline around the SPECjbb host.
-    let (setup_s, (model, p)) = setup_median(
-        3,
+    let (setup_s, (model, p)) = timed_setup(
+        5,
         0.0,
         || {
             let model =
@@ -749,17 +767,23 @@ pub fn jbb_host(cfg: &RunConfig) -> Outcome {
         .fold(0.0, f64::max);
     let ape = replicas[0].ape;
     let same_ape = replicas.iter().all(|r| r.ape.to_bits() == ape.to_bits());
+    // Simulated seconds per wall second over each batch of ticks.
     let rates: Vec<f64> = replicas
         .iter()
-        .map(|r| JBB_TICKS as f64 / r.run_s)
+        .flat_map(|r| r.tick_s.chunks(JBB_BATCH_TICKS))
+        .map(|batch| batch.len() as f64 / batch.iter().sum::<f64>())
         .collect();
     let latency: Vec<f64> = replicas.iter().flat_map(|r| r.latency_us.clone()).collect();
+    let pipeline: Vec<f64> = replicas
+        .iter()
+        .flat_map(|r| r.pipeline_us.clone())
+        .collect();
 
     out.attempted = ticks;
     out.failed = ticks - complete;
     out.complete_share = complete as f64 / ticks.max(1) as f64;
-    out.units_per_s = trimmed_mean(&rates);
-    out.latency_us = trimmed_mean(&latency);
+    out.units_per_s = fast_rate(&rates);
+    out.latency_us = fast_cost(&latency);
     out.error_pct = ape;
     out.checks = vec![
         Check::new(
@@ -786,19 +810,14 @@ pub fn jbb_host(cfg: &RunConfig) -> Outcome {
     out.named = vec![
         ("sim_s_per_s", out.units_per_s, "1/s"),
         ("median_ape_pct", ape, "%"),
-        (
-            "tick_latency_p50_us",
-            windowed(&latency, LATENCY_WINDOW, 0.50),
-            "us",
-        ),
-        (
-            "tick_latency_p99_us",
-            windowed(&latency, LATENCY_WINDOW, 0.99),
-            "us",
-        ),
+        ("tick_latency_p50_us", percentile(&latency, 0.50), "us"),
+        ("tick_latency_p99_us", percentile(&latency, 0.99), "us"),
         ("latency_samples", latency.len() as f64, "count"),
+        ("pipeline_latency_p50_us", percentile(&pipeline, 0.50), "us"),
+        ("pipeline_latency_fast_us", fast_cost(&pipeline), "us"),
         ("failed_share", 1.0 - out.complete_share, "share"),
         ("replicas", replicas.len() as f64, "count"),
+        ("throughput_batches", rates.len() as f64, "count"),
     ];
     out
 }
@@ -863,6 +882,8 @@ fn procs_pipeline(shape: &Shape, rec: Option<&Recorder>) -> Pipeline {
     let (kernel, pids) = procs_kernel();
     let formula = PerFrequencyFormula::new(PerFrequencyPowerModel::paper_i3_example());
     let mut p = build(kernel, &pids, formula, shape, rec);
+    // Machine-aggregate arrivals are kept only inside paced segments.
+    p.state.lock().expect("sink state").arrivals_from = u64::MAX;
     for _ in 0..WARMUP_TICKS {
         p.tick(None);
     }
@@ -904,17 +925,25 @@ fn throughput_phase(
 }
 
 /// Open-loop phase: tick `i` is due at `start + i / PACE_HZ` whatever
-/// happened before, and its latency runs from that due instant. Returns
-/// the latencies (µs) in due order and the generator's lateness (µs) per
-/// tick.
-fn paced_phase(p: &mut Pipeline, ticks: u64, rec: Option<&Recorder>) -> (Vec<f64>, Vec<f64>) {
+/// happened before. Tick `i`'s machine aggregate leaves the aggregator
+/// when tick `i + 1`'s estimates arrive, so its latency runs from tick
+/// `i + 1`'s due instant; from its own due instant it would add the
+/// fixed release interval. Returns the latencies (µs) in due order, the
+/// same arrivals from each tick's own due instant, and the generator's
+/// lateness (µs) per tick.
+fn paced_phase(
+    p: &mut Pipeline,
+    ticks: u64,
+    rec: Option<&Recorder>,
+) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let interval = Duration::from_nanos(1_000_000_000 / PACE_HZ);
-    p.keep_arrivals_from_next();
     let first = p.published + 1;
+    p.state.lock().expect("sink state").arrivals_from = first;
     let start = Instant::now() + interval;
-    let mut due_at = Vec::with_capacity(ticks as usize);
-    let mut late = Vec::with_capacity(ticks as usize);
-    for i in 0..ticks {
+    let mut due_at = Vec::with_capacity(ticks as usize + 1);
+    let mut late = Vec::with_capacity(ticks as usize + 1);
+    // One tick more than measured: it closes the last one's window.
+    for i in 0..=ticks {
         let due = start + interval * i as u32;
         let now = Instant::now();
         if due > now {
@@ -924,25 +953,30 @@ fn paced_phase(p: &mut Pipeline, ticks: u64, rec: Option<&Recorder>) -> (Vec<f64
         due_at.push(due);
         p.tick(rec);
     }
-    // One more tick closes the last paced tick's machine window.
-    p.tick(rec);
     p.drain();
-    let st = p.state.lock().expect("sink state");
-    let latency = st
-        .arrivals
-        .iter()
-        .filter_map(|&(tick, at)| {
-            let i = tick.checked_sub(first).filter(|i| *i < ticks)?;
-            Some(at.saturating_duration_since(due_at[i as usize]).as_nanos() as f64 / 1e3)
-        })
-        .collect();
-    (latency, late)
+    let arrivals = {
+        let mut st = p.state.lock().expect("sink state");
+        st.arrivals_from = u64::MAX;
+        std::mem::take(&mut st.arrivals)
+    };
+    let since = |offset: usize| -> Vec<f64> {
+        arrivals
+            .iter()
+            .filter_map(|&(tick, at)| {
+                let i = tick.checked_sub(first).filter(|i| *i < ticks)? as usize;
+                let due = due_at[i + offset];
+                Some(at.saturating_duration_since(due).as_nanos() as f64 / 1e3)
+            })
+            .collect()
+    };
+    (since(1), since(0), late)
 }
 
 /// Everything one `procs-1k` pass measures.
 struct ProcsPass {
     rates: Vec<f64>,
     latency: Vec<f64>,
+    from_due: Vec<f64>,
     late: Vec<f64>,
     /// Wall time of the unpaced phase, seconds.
     throughput_s: f64,
@@ -952,28 +986,40 @@ struct ProcsPass {
     rows: u64,
 }
 
-/// Throughput then paced phase on one pipeline: the traced run's fixed
-/// tick counts, or `seconds` of each.
+/// Unpaced and paced segments on one pipeline: one of each with the
+/// traced run's fixed tick counts, or pairs of [`SEGMENT_S`] each for
+/// `seconds`.
 fn procs_pass(mut p: Pipeline, fixed: bool, seconds: f64, rec: Option<&Recorder>) -> ProcsPass {
     let started = Instant::now();
-    let rates = if fixed {
-        throughput_phase(&mut p, Some(TRACED_THROUGHPUT_TICKS), 0.0, rec)
-    } else {
-        throughput_phase(&mut p, None, seconds * THROUGHPUT_SHARE, rec)
-    };
-    let throughput_s = started.elapsed().as_secs_f64();
-    let paced = if fixed {
-        TRACED_PACED_TICKS
-    } else {
-        // Whole seconds of paced ticks in 90 % of the remaining time.
-        ((seconds * (1.0 - THROUGHPUT_SHARE) * 0.9).floor().max(1.0) as u64) * PACE_HZ
-    };
-    let (latency, late) = paced_phase(&mut p, paced, rec);
+    let (mut rates, mut latency, mut from_due, mut late) = (vec![], vec![], vec![], vec![]);
+    let mut throughput_s = 0.0;
+    loop {
+        let t = Instant::now();
+        rates.extend(if fixed {
+            throughput_phase(&mut p, Some(TRACED_THROUGHPUT_TICKS), 0.0, rec)
+        } else {
+            throughput_phase(&mut p, None, SEGMENT_S, rec)
+        });
+        throughput_s += t.elapsed().as_secs_f64();
+        let paced = if fixed {
+            TRACED_PACED_TICKS
+        } else {
+            (SEGMENT_S * PACE_HZ as f64) as u64
+        };
+        let (l, f, la) = paced_phase(&mut p, paced, rec);
+        latency.extend(l);
+        from_due.extend(f);
+        late.extend(la);
+        if fixed || started.elapsed().as_secs_f64() + 2.0 * SEGMENT_S > seconds {
+            break;
+        }
+    }
     let (_, state, rows, verdict) = p.finish(rec);
     let ape = ape_from_sink(&state, WARMUP_TICKS + 1);
     ProcsPass {
         rates,
         latency,
+        from_due,
         late,
         throughput_s,
         verdict,
@@ -993,7 +1039,7 @@ pub fn procs_1k(cfg: &RunConfig) -> Outcome {
         score_until: WARMUP_TICKS + SCORED_TICKS,
     };
     // Set-up: spawn the 1 000 processes, build and warm the pipeline.
-    let (setup_s, p) = setup_median(
+    let (setup_s, p) = timed_setup(
         5,
         1.0,
         || procs_pipeline(&shape, None),
@@ -1045,8 +1091,8 @@ pub fn procs_1k(cfg: &RunConfig) -> Outcome {
     out.attempted = ticks;
     out.failed = ticks - complete;
     out.complete_share = complete as f64 / ticks.max(1) as f64;
-    out.units_per_s = trimmed_mean(&pass.rates);
-    out.latency_us = trimmed_mean(&pass.latency);
+    out.units_per_s = fast_rate(&pass.rates);
+    out.latency_us = fast_cost(&pass.latency);
     out.error_pct = pass.ape;
     out.checks = vec![
         Check::new(
@@ -1067,17 +1113,14 @@ pub fn procs_1k(cfg: &RunConfig) -> Outcome {
     ];
     out.named = vec![
         ("ticks_per_s", out.units_per_s, "1/s"),
-        (
-            "tick_latency_p50_us",
-            windowed(&pass.latency, LATENCY_WINDOW, 0.50),
-            "us",
-        ),
-        (
-            "tick_latency_p99_us",
-            windowed(&pass.latency, LATENCY_WINDOW, 0.99),
-            "us",
-        ),
+        ("tick_latency_p50_us", percentile(&pass.latency, 0.50), "us"),
+        ("tick_latency_p99_us", percentile(&pass.latency, 0.99), "us"),
         ("latency_samples", pass.latency.len() as f64, "count"),
+        (
+            "tick_latency_from_due_p50_us",
+            percentile(&pass.from_due, 0.50),
+            "us",
+        ),
         ("generator_late_p50_us", percentile(&pass.late, 0.50), "us"),
         ("generator_late_p99_us", percentile(&pass.late, 0.99), "us"),
         ("paced_rate", PACE_HZ as f64, "1/s"),

@@ -66,11 +66,11 @@ pub struct Outcome {
     pub setup_s: f64,
     /// Share of work units delivered complete.
     pub complete_share: f64,
-    /// Work units per wall second in the measured phase: the mean of the
-    /// middle 60 % of the per-batch rates.
+    /// Work units per wall second in the measured phase, per batch, in
+    /// the host's fast state ([`stats::fast_rate`]).
     pub units_per_s: f64,
-    /// Per-unit latency, microseconds: the mean of the middle 60 % of
-    /// the samples.
+    /// Per-unit latency, microseconds, in the host's fast state
+    /// ([`stats::fast_cost`]).
     pub latency_us: f64,
     /// Estimate error against the workload's ground truth, percent.
     pub error_pct: f64,

@@ -121,11 +121,6 @@ impl Recorder {
         out
     }
 
-    /// Spans recorded so far.
-    pub fn len(&self) -> usize {
-        self.spans.lock().expect("span buffer").len()
-    }
-
     /// A copy of every span recorded so far.
     pub fn spans(&self) -> Vec<Span> {
         self.spans.lock().expect("span buffer").clone()

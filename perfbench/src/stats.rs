@@ -38,52 +38,31 @@ pub fn peak_rss_mb() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
-/// Samples per latency window: enough that a window's 99th percentile
-/// has ten samples beyond it.
-pub const LATENCY_WINDOW: usize = 1_000;
+/// Percentile at which the bounded timings are read: per-unit costs at
+/// this percentile, per-unit rates at one minus it. The shared 2-vCPU host
+/// the benchmark was built on switches between a fast and a slow state,
+/// 1.5-1.7x apart, every few seconds, and the mix of the two differs from
+/// run to run, so a median or a mean of a run moves with the mix. The fast
+/// state holds for more than a twentieth of almost every run, so this
+/// percentile reads it; a change that makes every unit slower moves it as
+/// much as it moves the median.
+const FAST: f64 = 0.05;
 
-/// Median over consecutive windows of at least `window` samples of each
-/// window's `p` percentile, so a slow second moves one window, not the
-/// figure. A short tail joins the last full window; a sample shorter than
-/// one window is a single window.
-pub fn windowed(samples: &[f64], window: usize, p: f64) -> f64 {
-    let window = window.max(1);
-    let full = (samples.len() / window).max(1);
-    let per: Vec<f64> = (0..full)
-        .map(|i| {
-            let end = if i + 1 == full {
-                samples.len()
-            } else {
-                (i + 1) * window
-            };
-            percentile(&samples[i * window..end], p)
-        })
-        .collect();
-    median(&per)
+/// A per-unit cost (time or latency) in the host's fast state.
+pub fn fast_cost(values: &[f64]) -> f64 {
+    percentile(values, FAST)
 }
 
-/// Share of a sample [`trimmed_mean`] drops at each end.
-const TRIM: f64 = 0.2;
-
-/// Mean of the middle 60 % of a sample. The host's speed drifts between
-/// a fast and a slow state for seconds at a time; a median jumps between
-/// the two as their mix crosses one half, while this mean moves with the
-/// mix and still ignores stalls and flukes.
-pub fn trimmed_mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let k = (v.len() as f64 * TRIM).floor() as usize;
-    let mid = &v[k..v.len() - k];
-    mid.iter().sum::<f64>() / mid.len() as f64
+/// A per-unit rate in the host's fast state.
+pub fn fast_rate(values: &[f64]) -> f64 {
+    percentile(values, 1.0 - FAST)
 }
 
 /// Times `make` at least `min_runs` times and for at least `min_seconds`,
 /// handing every result but the last to `dispose` (untimed). Returns the
-/// median set-up time in seconds and the last result.
-pub fn setup_median<T>(
+/// set-up time in seconds in the host's fast state ([`fast_cost`]; the
+/// quickest set-up when there are fewer than ten) and the last result.
+pub fn timed_setup<T>(
     min_runs: usize,
     min_seconds: f64,
     mut make: impl FnMut() -> T,
@@ -95,7 +74,7 @@ pub fn setup_median<T>(
         let value = make();
         times.push(t.elapsed().as_secs_f64());
         if times.len() >= min_runs && times.iter().sum::<f64>() >= min_seconds {
-            return (median(&times), value);
+            return (fast_cost(&times), value);
         }
         dispose(value);
     }
@@ -126,24 +105,17 @@ mod tests {
     }
 
     #[test]
-    fn trimmed_mean_drops_a_fifth_at_each_end() {
-        let v = [100.0, 1.0, 2.0, 3.0, -50.0];
-        assert_eq!(trimmed_mean(&v), 2.0);
-        assert_eq!(trimmed_mean(&[]), 0.0);
+    fn fast_state_reads_the_cheap_twentieth() {
+        let v: Vec<f64> = (1..=21).map(f64::from).collect();
+        assert_eq!(fast_cost(&v), 2.0);
+        assert_eq!(fast_rate(&v), 20.0);
     }
 
     #[test]
-    fn windowed_takes_the_median_window() {
-        let s = [1.0, 2.0, 10.0, 20.0, 3.0, 4.0, 5.0];
-        assert_eq!(windowed(&s, 2, 1.0), 5.0);
-        assert_eq!(windowed(&s[..1], 2, 1.0), 1.0);
-    }
-
-    #[test]
-    fn setup_median_keeps_the_last_and_disposes_the_rest() {
+    fn timed_setup_keeps_the_last_and_disposes_the_rest() {
         let mut disposed = Vec::new();
         let mut n = 0;
-        let (_, last) = setup_median(
+        let (_, last) = timed_setup(
             3,
             0.0,
             || {
