@@ -36,8 +36,14 @@ const SHARDS: usize = 8;
 const PM_HOSTS: usize = 6;
 const PM_TICKS: u64 = 20;
 const PM_SHARDS: usize = 2;
-/// Dump cycles of a traced `postmortem` run (and of its untraced twin).
-const PM_TRACED_CYCLES: usize = 5;
+/// Dumps per `postmortem` run, each from the fleet run on its own
+/// sub-seed of the link-fault plan. A dump's size follows its seed (by
+/// ±5 % over ten seeds) and the quadratic parse doubles that in the cycle
+/// time, so one dump made the workload's timings follow the seed; every
+/// timed round writes and reads all of them.
+const PM_DUMPS: u64 = 4;
+/// Rounds of a traced `postmortem` run (and of its untraced twin).
+const PM_TRACED_ROUNDS: usize = 5;
 
 const TRACK_MAIN: u32 = 0;
 const TRACK_CODEC: u32 = 3;
@@ -344,7 +350,7 @@ pub fn fleet_faulty(cfg: &RunConfig) -> Outcome {
     let plan = fault_plan(mix(cfg.seed, 3), HOSTS, TICKS);
     // Set-up: learn the fleet's model and record every host's frames.
     let (setup_s, (formula, recordings)) = timed_setup(
-        3,
+        6,
         0.0,
         || {
             let model =
@@ -434,14 +440,21 @@ struct DumpSource {
     replica: FleetReplica,
 }
 
-fn dump_source(seed: u64) -> DumpSource {
+/// Learns the model and runs one post-mortem fleet per dump.
+fn dump_sources(seed: u64) -> Vec<DumpSource> {
     let model = learn_model(presets::intel_i3_2120(), &LearnConfig::quick()).expect("learning");
     let formula = PerFrequencyFormula::new(model);
+    (0..PM_DUMPS)
+        .map(|i| dump_source(&formula, mix(seed, i)))
+        .collect()
+}
+
+fn dump_source(formula: &PerFrequencyFormula, seed: u64) -> DumpSource {
     let sources: Vec<Box<dyn FrameSource>> = (0..PM_HOSTS).map(make_tenant_source).collect();
     let telemetry = Telemetry::new();
     let mut fleet = Fleet::new(
         fleet_config(PM_SHARDS, fault_plan(seed, PM_HOSTS, PM_TICKS)),
-        &formula,
+        formula,
         sources,
         telemetry.clone(),
     );
@@ -625,9 +638,12 @@ fn dump_cycle(src: &DumpSource, dir: &Path, rec: Option<&Recorder>, n: u64) -> C
     }
 }
 
-/// Fills the export/parse layer metrics from the traced cycles, whose
-/// spans `rec` holds; shares divide by their wall time.
-fn dump_layers(out: &mut Outcome, traced: &[&Cycle], rec: &Recorder, overhead: f64) {
+/// Fills the export/parse layer metrics from the traced rounds, whose
+/// spans `rec` holds; shares divide by their wall time, byte counts are
+/// one round's.
+fn dump_layers(out: &mut Outcome, traced: &[&[Cycle]], rec: &Recorder, overhead: f64) {
+    let round = traced[0];
+    let traced: Vec<&Cycle> = traced.iter().flat_map(|r| r.iter()).collect();
     let spans = rec.spans();
     let by_layer = span::self_time_by_layer(&spans);
     let sum = |f: fn(&Cycle) -> u64| traced.iter().map(|c| f(c)).sum::<u64>() as f64;
@@ -639,15 +655,15 @@ fn dump_layers(out: &mut Outcome, traced: &[&Cycle], rec: &Recorder, overhead: f
         ("journey.share", share("journey")),
     ];
     let explained: f64 = shares.iter().map(|(_, v)| v).sum();
-    let c = traced[0];
+    let round_sum = |f: fn(&Cycle) -> u64| round.iter().map(f).sum::<u64>() as f64;
     out.layers.extend(shares);
     out.layers.extend([
-        ("export.bytes", c.written as f64),
+        ("export.bytes", round_sum(|c| c.written)),
         (
             "export.ns_per_byte",
             sum(|c| c.write_ns) / sum(|c| c.written),
         ),
-        ("parse.bytes", (c.json_bytes + c.jsonl_bytes) as f64),
+        ("parse.bytes", round_sum(|c| c.json_bytes + c.jsonl_bytes)),
         (
             "parse.json_ns_per_byte",
             sum(|c| c.json_ns) / sum(|c| c.json_bytes),
@@ -662,44 +678,58 @@ fn dump_layers(out: &mut Outcome, traced: &[&Cycle], rec: &Recorder, overhead: f
     out.spans = spans;
 }
 
-/// `postmortem`: write the dump, read it back, rebuild every journey.
+/// `postmortem`: write the dumps, read them back, rebuild every journey.
 pub fn postmortem(cfg: &RunConfig) -> Outcome {
     let seed = mix(cfg.seed, 3);
-    // Set-up: learn the model and run the telemetry-on faulty fleet.
-    let (setup_s, src) = timed_setup(5, 1.0, || dump_source(seed), drop);
+    // Set-up: learn the model and run the telemetry-on faulty fleets.
+    let (setup_s, srcs) = timed_setup(5, 2.0, || dump_sources(seed), drop);
     let dir = cfg.out_dir.join(format!("postmortem-{}", cfg.seed));
     let mut out = Outcome {
         setup_s,
         ..Outcome::default()
     };
-
-    let cycles: Vec<Cycle> = if cfg.traced {
-        let rec = Recorder::new();
-        let mut cycles = Vec::new();
-        let overhead = span::overhead_pct(PM_TRACED_CYCLES, &rec, |r| {
-            let c = dump_cycle(&src, &dir, r, cycles.len() as u64);
-            let wall = c.wall_ns as f64 / 1e9;
-            cycles.push((r.is_some(), c));
-            wall
-        });
-        let traced: Vec<&Cycle> = cycles.iter().filter(|(t, _)| *t).map(|(_, c)| c).collect();
-        dump_layers(&mut out, &traced, &rec, overhead);
-        fleet_counts(&mut out, &src.replica);
-        cycles.into_iter().map(|(_, c)| c).collect()
-    } else {
-        repeat_for(cfg.seconds, 2, |n| dump_cycle(&src, &dir, None, n as u64))
+    // One write + read cycle per dump.
+    let round = |rec: Option<&Recorder>, n: usize| -> Vec<Cycle> {
+        srcs.iter()
+            .map(|src| dump_cycle(src, &dir, rec, n as u64))
+            .collect()
     };
 
-    let j = &cycles[0].journeys;
+    let rounds: Vec<Vec<Cycle>> = if cfg.traced {
+        let rec = Recorder::new();
+        let mut rounds = Vec::new();
+        let overhead = span::overhead_pct(PM_TRACED_ROUNDS, &rec, |r| {
+            let cycles = round(r, rounds.len());
+            let wall = cycles.iter().map(|c| c.wall_ns).sum::<u64>() as f64 / 1e9;
+            rounds.push((r.is_some(), cycles));
+            wall
+        });
+        let traced: Vec<&[Cycle]> = rounds
+            .iter()
+            .filter(|(t, _)| *t)
+            .map(|(_, c)| c.as_slice())
+            .collect();
+        dump_layers(&mut out, &traced, &rec, overhead);
+        fleet_counts(&mut out, &srcs[0].replica);
+        rounds.into_iter().map(|(_, c)| c).collect()
+    } else {
+        repeat_for(cfg.seconds, 2, |n| round(None, n))
+    };
+
+    let cycles: Vec<&Cycle> = rounds.iter().flatten().collect();
     let all_rebuilt = cycles.iter().all(|c| {
         c.journeys.reconstructed == c.journeys.produced && c.journeys.tracks == c.journeys.produced
     });
     let round_trips = cycles.iter().all(|c| c.journal_round_trips);
-    let journeys_per_s: Vec<f64> = cycles
+    let round_sum = |r: &[Cycle], f: fn(&Cycle) -> u64| r.iter().map(f).sum::<u64>() as f64;
+    let journeys_per_s: Vec<f64> = rounds
         .iter()
-        .map(|c| c.journeys.reconstructed as f64 / (c.wall_ns as f64 / 1e9))
+        .map(|r| round_sum(r, |c| c.journeys.reconstructed) / (round_sum(r, |c| c.wall_ns) / 1e9))
         .collect();
-    let wall_us: Vec<f64> = cycles.iter().map(|c| c.wall_ns as f64 / 1e3).collect();
+    let wall_us: Vec<f64> = rounds
+        .iter()
+        .map(|r| round_sum(r, |c| c.wall_ns) / 1e3)
+        .collect();
     let mb_per_s = |bytes: fn(&Cycle) -> u64, ns: fn(&Cycle) -> u64| {
         median(
             &cycles
@@ -708,25 +738,28 @@ pub fn postmortem(cfg: &RunConfig) -> Outcome {
                 .collect::<Vec<_>>(),
         )
     };
-    let conserved = src.replica.conserved.clone().err();
+    let conserved = srcs.iter().find_map(|s| s.replica.conserved.clone().err());
+    let first = &rounds[0];
+    let (rebuilt, produced, tracks) = (
+        round_sum(first, |c| c.journeys.reconstructed),
+        round_sum(first, |c| c.journeys.produced),
+        round_sum(first, |c| c.journeys.tracks),
+    );
 
     out.attempted = cycles.len() as u64;
     out.failed = cycles
         .iter()
         .filter(|c| c.journeys.reconstructed != c.journeys.produced || !c.journal_round_trips)
         .count() as u64;
-    out.complete_share = j.reconstructed as f64 / j.produced.max(1) as f64;
+    out.complete_share = rebuilt / produced.max(1.0);
     out.units_per_s = fast_rate(&journeys_per_s);
     out.latency_us = fast_cost(&wall_us);
-    out.error_pct = src.replica.error_pct;
+    out.error_pct = srcs.iter().map(|s| s.replica.error_pct).sum::<f64>() / srcs.len() as f64;
     out.checks = vec![
         Check::new(
             "every journey is reconstructed",
             all_rebuilt,
-            format!(
-                "{}/{} journeys, {} tracks",
-                j.reconstructed, j.produced, j.tracks
-            ),
+            format!("{rebuilt}/{produced} journeys, {tracks} tracks in {PM_DUMPS} dumps"),
         ),
         Check::new(
             "parse_jsonl round-trips the journal",
@@ -751,12 +784,12 @@ pub fn postmortem(cfg: &RunConfig) -> Outcome {
             "MB/s",
         ),
         ("journeys_per_s", out.units_per_s, "1/s"),
-        ("dump_bytes", cycles[0].written as f64, "B"),
-        ("cycle_p50_us", percentile(&wall_us, 0.50), "us"),
-        ("cycle_p99_us", percentile(&wall_us, 0.99), "us"),
+        ("dump_bytes", round_sum(first, |c| c.written), "B"),
+        ("round_p50_us", percentile(&wall_us, 0.50), "us"),
+        ("round_p99_us", percentile(&wall_us, 0.99), "us"),
         ("latency_samples", wall_us.len() as f64, "count"),
         ("failed_share", 1.0 - out.complete_share, "share"),
-        ("cycles", cycles.len() as f64, "count"),
+        ("rounds", rounds.len() as f64, "count"),
     ];
     out
 }

@@ -14,6 +14,7 @@
 //! while the *next* tick is in the pipeline; the last tick's leaves at
 //! `PowerApi::finish`. Tick latency is measured to that arrival.
 
+use crate::pin::Rotation;
 use crate::span::{self, Recorder};
 use crate::stats::{fast_cost, fast_rate, median, mix, percentile, repeat_for, timed_setup};
 use crate::{Check, Outcome, RunConfig};
@@ -734,7 +735,7 @@ pub fn jbb_host(cfg: &RunConfig) -> Outcome {
     // Set-up: learn the model (the Figure 1 pipeline) and build the
     // pipeline around the SPECjbb host.
     let (setup_s, (model, p)) = timed_setup(
-        5,
+        10,
         0.0,
         || {
             let model =
@@ -993,7 +994,10 @@ fn procs_pass(mut p: Pipeline, fixed: bool, seconds: f64, rec: Option<&Recorder>
     let started = Instant::now();
     let (mut rates, mut latency, mut from_due, mut late) = (vec![], vec![], vec![], vec![]);
     let mut throughput_s = 0.0;
+    // Every unpaced + paced pair runs on the next CPU.
+    let mut rotation = Rotation::new(Duration::ZERO);
     loop {
+        rotation.turn();
         let t = Instant::now();
         rates.extend(if fixed {
             throughput_phase(&mut p, Some(TRACED_THROUGHPUT_TICKS), 0.0, rec)
@@ -1041,7 +1045,7 @@ pub fn procs_1k(cfg: &RunConfig) -> Outcome {
     // Set-up: spawn the 1 000 processes, build and warm the pipeline.
     let (setup_s, p) = timed_setup(
         5,
-        1.0,
+        2.0,
         || procs_pipeline(&shape, None),
         |p| drop(p.finish(None)),
     );

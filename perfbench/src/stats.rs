@@ -1,5 +1,12 @@
 //! Small statistics helpers shared by the workloads.
 
+use crate::pin::Rotation;
+use std::time::Duration;
+
+/// How long the timed phases stay on one CPU before moving to the next
+/// ([`Rotation`]).
+const ROTATE_EVERY: Duration = Duration::from_secs(1);
+
 /// SplitMix64: derives independent sub-seeds from `--seed`.
 pub fn mix(seed: u64, stream: u64) -> u64 {
     let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -60,8 +67,11 @@ pub fn fast_rate(values: &[f64]) -> f64 {
 
 /// Times `make` at least `min_runs` times and for at least `min_seconds`,
 /// handing every result but the last to `dispose` (untimed). Returns the
-/// set-up time in seconds in the host's fast state ([`fast_cost`]; the
-/// quickest set-up when there are fewer than ten) and the last result.
+/// quickest set-up in seconds and the last result. The host's fast state
+/// comes in bursts of a few set-ups between stretches of a second or more
+/// in which every set-up is 1.6x slower, so the quickest of a long series
+/// reads it where a percentile may not. Set-up is not pinned
+/// ([`Rotation`]): model learning runs on every CPU the process may use.
 pub fn timed_setup<T>(
     min_runs: usize,
     min_seconds: f64,
@@ -74,18 +84,21 @@ pub fn timed_setup<T>(
         let value = make();
         times.push(t.elapsed().as_secs_f64());
         if times.len() >= min_runs && times.iter().sum::<f64>() >= min_seconds {
-            return (fast_cost(&times), value);
+            return (times.iter().copied().fold(f64::INFINITY, f64::min), value);
         }
         dispose(value);
     }
 }
 
 /// Runs `f` at least `min_runs` times and until `seconds` have passed,
-/// collecting each result.
+/// collecting each result and moving the process to the next CPU every
+/// [`ROTATE_EVERY`].
 pub fn repeat_for<T>(seconds: f64, min_runs: usize, mut f: impl FnMut(usize) -> T) -> Vec<T> {
     let started = std::time::Instant::now();
+    let mut rotation = Rotation::new(ROTATE_EVERY);
     let mut out = Vec::new();
     while out.len() < min_runs || started.elapsed().as_secs_f64() < seconds {
+        rotation.turn();
         out.push(f(out.len()));
     }
     out
